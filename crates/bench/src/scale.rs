@@ -136,6 +136,42 @@ mod tests {
         assert!(!academic.split_indices(Split::Test).is_empty());
     }
 
+    /// The `Scale::full` query logs, pinned by a 64-bit FNV-1a hash over
+    /// every query's SQL text in log order: a change to how the generator
+    /// validates, deduplicates or evaluates its candidates must not change
+    /// which queries it keeps, or their order.
+    #[test]
+    fn full_scale_query_logs_are_pinned() {
+        let s = Scale::full();
+        let academic = generate_academic(&AcademicConfig {
+            seed: s.seed ^ 0x2,
+            ..Default::default()
+        });
+        let imdb = generate_imdb(&ImdbConfig {
+            seed: s.seed ^ 0x1,
+            ..Default::default()
+        });
+        let logs = [
+            (&academic, academic_spec(), s.seed ^ 0x22),
+            (&imdb, imdb_spec(), s.seed ^ 0x11),
+        ];
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for (db, spec, gen_seed) in &logs {
+            let log =
+                ls_dbshap::generate_query_log(db, spec, &s.dataset_config(*gen_seed).query_gen);
+            assert_eq!(log.len(), s.queries_per_db);
+            for q in &log {
+                for b in ls_relational::to_sql(q).bytes().chain([b'\n']) {
+                    hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(
+            hash, 0xdc02_ce80_240e_35d3,
+            "query logs changed: {hash:016x}"
+        );
+    }
+
     #[test]
     fn scales_are_ordered() {
         let q = Scale::quick();

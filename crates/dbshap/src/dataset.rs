@@ -6,9 +6,9 @@
 //! knowledge-compilation pipeline, and split *queries* 70/10/20 into
 //! train/dev/test.
 
-use crate::querygen::{generate_query_log, QueryGenConfig, SchemaSpec};
+use crate::querygen::{generate_evaluated_log, QueryGenConfig, SchemaSpec};
 use ls_circuit::CircuitStore;
-use ls_relational::{evaluate, to_sql, Database, FactId, Query, QueryResult};
+use ls_relational::{to_sql, Database, FactId, Query, QueryResult};
 use ls_shapley::{shapley_values_recovered, shapley_values_recovered_stored, FactScores};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -125,25 +125,30 @@ impl Dataset {
         store: Option<&CircuitStore>,
     ) -> Dataset {
         let mut sp = ls_obs::span("dbshap.build").with("db", spec.name);
-        let log = generate_query_log(&db, spec, &cfg.query_gen);
+        // Generation evaluates every query it keeps, once; the results are
+        // reused here rather than evaluated again.
+        let log = generate_evaluated_log(&db, spec, &cfg.query_gen);
         sp.record("queries", log.len());
-        // Queries are evaluated and ground-truthed across the ls-par pool —
-        // each is a pure function of the shared read-only database, so the
-        // id-ordered result is identical at every thread count. The
-        // per-tuple Shapley fan-out inside `ground_truth` (and the per-fact
-        // fan-out inside `shapley_values`) runs inline on the same worker:
-        // parallelism nests only one level.
-        let queries: Vec<QueryRecord> = ls_par::par_map(&log, |id, query| {
-            let result = evaluate(&db, query).expect("generated query must evaluate");
-            let tuples = ls_obs::time("dbshap.ground_truth", || ground_truth(&result, cfg, store));
-            QueryRecord {
+        // Queries are ground-truthed across the ls-par pool — each is a pure
+        // function of its result, so the id-ordered records are identical at
+        // every thread count. The per-tuple Shapley fan-out inside
+        // `ground_truth` runs inline on the same worker: parallelism nests
+        // only one level.
+        let tuples: Vec<Vec<TupleRecord>> = ls_par::par_map(&log, |_, (_, result)| {
+            ls_obs::time("dbshap.ground_truth", || ground_truth(result, cfg, store))
+        });
+        let queries: Vec<QueryRecord> = log
+            .into_iter()
+            .zip(tuples)
+            .enumerate()
+            .map(|(id, ((query, result), tuples))| QueryRecord {
                 id,
-                sql: to_sql(query),
-                query: query.clone(),
+                sql: to_sql(&query),
+                query,
                 result,
                 tuples,
-            }
-        });
+            })
+            .collect();
         let recorded_tuples: u64 = queries.iter().map(|q| q.tuples.len() as u64).sum();
         sp.record("recorded_tuples", recorded_tuples);
         if ls_obs::enabled() {

@@ -5,11 +5,12 @@
 //! projection or one predicate), join widths from 1 to the full schema, and
 //! a mix of selective predicates. The generator produces base queries by
 //! random walks on the schema join graph and then emits mutated family
-//! members, validating every query to be non-empty on the database.
+//! members, validating every query to be non-empty on the database. Each
+//! kept query is evaluated once, and its result travels with it.
 
 use ls_relational::{
-    evaluate, to_sql, CmpOp, ColRef, Database, JoinCond, Query, Selection, SpjBlock, TableRef,
-    Value,
+    evaluate, to_sql, CmpOp, ColRef, Database, JoinCond, Query, QueryResult, Selection, SpjBlock,
+    TableRef, Value,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -127,110 +128,123 @@ impl Default for QueryGenConfig {
 
 /// Generate a validated (non-empty-result, deduplicated) query log.
 pub fn generate_query_log(db: &Database, spec: &SchemaSpec, cfg: &QueryGenConfig) -> Vec<Query> {
+    generate_evaluated_log(db, spec, cfg)
+        .into_iter()
+        .map(|(q, _)| q)
+        .collect()
+}
+
+/// [`generate_query_log`] with each query's evaluation result: the one
+/// computed to validate it, so no query of the log is evaluated twice.
+pub(crate) fn generate_evaluated_log(
+    db: &Database,
+    spec: &SchemaSpec,
+    cfg: &QueryGenConfig,
+) -> Vec<(Query, QueryResult)> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut log: Vec<Query> = Vec::new();
-    let mut seen: HashSet<String> = HashSet::new();
-    let mut seen_semantics: HashSet<String> = HashSet::new();
+    let mut log = LogBuilder {
+        entries: Vec::new(),
+        seen: HashSet::new(),
+        seen_semantics: HashSet::new(),
+        cap: cfg.num_queries,
+    };
     if cfg.wide_joins > 0 {
         for q in generate_wide_join_log(db, spec, cfg.wide_joins, cfg.seed) {
-            push_if_new(
-                db,
-                q,
-                &mut log,
-                &mut seen,
-                &mut seen_semantics,
-                cfg.num_queries,
-            );
+            if let Ok(result) = evaluate(db, &q) {
+                log.push_if_new(q, result);
+            }
         }
     }
     let mut attempts = 0usize;
     let attempt_budget = cfg.num_queries * 300;
-    while log.len() < cfg.num_queries && attempts < attempt_budget {
+    while !log.is_full() && attempts < attempt_budget {
         attempts += 1;
-        let Some(base) = try_base_query(db, spec, cfg, &mut rng) else {
+        let Some((base, result)) = try_base_query(db, spec, cfg, &mut rng) else {
             continue;
         };
-        push_if_new(
-            db,
-            base.clone(),
-            &mut log,
-            &mut seen,
-            &mut seen_semantics,
-            cfg.num_queries,
-        );
+        log.push_if_new(base.clone(), result);
         for _ in 0..cfg.mutations_per_base {
-            if log.len() >= cfg.num_queries {
+            if log.is_full() {
                 break;
             }
-            if let Some(mutant) = try_mutate(db, spec, &base, &mut rng) {
-                push_if_new(
-                    db,
-                    mutant,
-                    &mut log,
-                    &mut seen,
-                    &mut seen_semantics,
-                    cfg.num_queries,
-                );
+            let Some(mutant) = try_mutate(db, spec, &base, &mut rng) else {
+                continue;
+            };
+            // A mutant already in the log (or already rejected) is dropped
+            // unevaluated: its result could only gate `push_if_new`.
+            if log.seen.contains(&to_sql(&mutant)) {
+                continue;
+            }
+            if let Some(result) = evaluate_non_empty(db, &mutant) {
+                log.push_if_new(mutant, result);
             }
         }
     }
     assert!(
-        log.len() >= cfg.num_queries.min(4),
+        log.entries.len() >= cfg.num_queries.min(4),
         "query generation starved: only {} of {} (db too small?)",
-        log.len(),
+        log.entries.len(),
         cfg.num_queries
     );
-    log
+    log.entries
 }
 
-fn push_if_new(
-    db: &Database,
-    q: Query,
-    log: &mut Vec<Query>,
-    seen: &mut HashSet<String>,
-    seen_semantics: &mut HashSet<String>,
+/// The log under construction, with the SQL texts and semantic signatures
+/// it has already seen.
+struct LogBuilder {
+    entries: Vec<(Query, QueryResult)>,
+    seen: HashSet<String>,
+    seen_semantics: HashSet<String>,
     cap: usize,
-) {
-    if log.len() >= cap {
-        return;
+}
+
+impl LogBuilder {
+    fn is_full(&self) -> bool {
+        self.entries.len() >= self.cap
     }
-    let sql = to_sql(&q);
-    if !seen.insert(sql) {
-        return;
-    }
-    let Ok(result) = evaluate(db, &q) else { return };
-    if result.is_empty() {
-        return;
-    }
-    // Semantic signature: output tuples plus their provenance. Two queries
-    // with identical signatures are indistinguishable to every downstream
-    // consumer (same witnesses, same lineages, same Shapley values) — a
-    // mutation that only toggles DISTINCT or adds a vacuous predicate would
-    // otherwise let log-lookup baselines memorize the test set.
-    let mut sig = String::new();
-    for t in &result.tuples {
-        sig.push_str(&t.value_string());
-        for m in &t.derivations {
-            sig.push_str(&m.to_string());
+
+    /// Keep `q` (whose evaluation is `result`) unless the log is full or
+    /// already holds the same SQL text or the same semantics.
+    fn push_if_new(&mut self, q: Query, result: QueryResult) {
+        if self.is_full() {
+            return;
         }
-        sig.push(';');
-    }
-    if seen_semantics.insert(sig) {
-        log.push(q);
+        if !self.seen.insert(to_sql(&q)) || result.is_empty() {
+            return;
+        }
+        // Semantic signature: output tuples plus their provenance. Two
+        // queries with identical signatures are indistinguishable to every
+        // downstream consumer (same witnesses, same lineages, same Shapley
+        // values) — a mutation that only toggles DISTINCT or adds a vacuous
+        // predicate would otherwise let log-lookup baselines memorize the
+        // test set.
+        let mut sig = String::new();
+        for t in &result.tuples {
+            sig.push_str(&t.value_string());
+            for m in &t.derivations {
+                sig.push_str(&m.to_string());
+            }
+            sig.push(';');
+        }
+        if self.seen_semantics.insert(sig) {
+            self.entries.push((q, result));
+        }
     }
 }
 
-fn non_empty(db: &Database, q: &Query) -> bool {
-    evaluate(db, q).map(|r| !r.is_empty()).unwrap_or(false)
+/// `q`'s result, if it evaluates to a non-empty one.
+fn evaluate_non_empty(db: &Database, q: &Query) -> Option<QueryResult> {
+    evaluate(db, q).ok().filter(|r| !r.is_empty())
 }
 
-/// One random base query, or `None` if the draw produced an empty result.
+/// One random base query with its (non-empty) result, or `None` if the draw
+/// produced an empty result.
 fn try_base_query(
     db: &Database,
     spec: &SchemaSpec,
     cfg: &QueryGenConfig,
     rng: &mut StdRng,
-) -> Option<Query> {
+) -> Option<(Query, QueryResult)> {
     let block = random_block(db, spec, cfg, rng)?;
     let query = if rng.gen_bool(cfg.union_prob) {
         // Union with a predicate-mutated sibling of the same projection.
@@ -246,7 +260,8 @@ fn try_base_query(
     } else {
         Query::single(block)
     };
-    non_empty(db, &query).then_some(query)
+    let result = evaluate_non_empty(db, &query)?;
+    Some((query, result))
 }
 
 /// Random connected SPJ block via a walk on the join graph.
@@ -385,7 +400,7 @@ fn sample_value(db: &Database, table: &str, col: &str, rng: &mut StdRng) -> Opti
     db.cell(table, row, idx).cloned()
 }
 
-/// Mutate a base query into a near-duplicate family member.
+/// Mutate a base query into a near-duplicate family member (unevaluated).
 fn try_mutate(db: &Database, spec: &SchemaSpec, base: &Query, rng: &mut StdRng) -> Option<Query> {
     let mut q = base.clone();
     let choice = rng.gen_range(0..3u8);
@@ -440,7 +455,7 @@ fn try_mutate(db: &Database, spec: &SchemaSpec, base: &Query, rng: &mut StdRng) 
             }
         }
     }
-    non_empty(db, &q).then_some(q)
+    Some(q)
 }
 
 fn mutate_selections(db: &Database, spec: &SchemaSpec, block: &mut SpjBlock, rng: &mut StdRng) {

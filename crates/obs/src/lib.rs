@@ -189,6 +189,21 @@ mod tests {
     }
 
     #[test]
+    fn count_histograms_print_as_counts() {
+        let h = histogram("serve.batch_items");
+        for v in [12.0, 12.0, 13.0] {
+            h.record(v);
+        }
+        let text = summary();
+        let line = text
+            .lines()
+            .find(|l| l.trim_start().starts_with("serve.batch_items"))
+            .expect("summary lists the histogram");
+        assert!(line.contains("mean=12.33 "), "{line}");
+        assert!(line.ends_with("max=13.00"), "{line}");
+    }
+
+    #[test]
     fn time_returns_closure_result() {
         set_level(Level::Summary);
         assert_eq!(time("obs.test.time", || 41 + 1), 42);

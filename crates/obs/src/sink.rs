@@ -220,6 +220,18 @@ pub fn flush() {
     }
 }
 
+/// Histograms that record counts, not seconds: the summary prints their
+/// values as plain numbers (metrics carry no unit of their own yet).
+const COUNT_HISTOGRAMS: &[&str] = &[
+    "serve.batch_items",
+    "serve.evloop.ready_per_wake",
+    "provenance.clauses_per_lineage",
+];
+
+fn fmt_count(v: f64) -> String {
+    format!("{v:.2}")
+}
+
 fn fmt_secs(s: f64) -> String {
     if s >= 1.0 {
         format!("{s:.2}s")
@@ -248,20 +260,25 @@ pub fn summary() -> String {
         }
     }
     if !snap.histograms.is_empty() {
-        out.push_str("histograms (secs):\n");
+        out.push_str("histograms (secs; counts for count metrics):\n");
         for (name, st, _exemplars) in &snap.histograms {
             if st.count == 0 {
                 continue;
             }
+            let fmt = if COUNT_HISTOGRAMS.contains(name) {
+                fmt_count
+            } else {
+                fmt_secs
+            };
             let _ = writeln!(
                 out,
                 "  {name:<44} n={:<7} mean={:<9} p50={:<9} p90={:<9} p99={:<9} max={}",
                 st.count,
-                fmt_secs(st.mean),
-                fmt_secs(st.p50),
-                fmt_secs(st.p90),
-                fmt_secs(st.p99),
-                fmt_secs(st.max),
+                fmt(st.mean),
+                fmt(st.p50),
+                fmt(st.p90),
+                fmt(st.p99),
+                fmt(st.max),
             );
         }
     }

@@ -192,18 +192,21 @@ impl BigNat {
     /// Natural log; `-inf` for zero. Exact to ~1 ulp even for huge values
     /// (uses the top two limbs plus a power-of-two exponent).
     pub fn ln(&self) -> f64 {
-        if self.is_zero() {
-            return f64::NEG_INFINITY;
+        match self.limbs.len() {
+            0 => f64::NEG_INFINITY,
+            1 => ln_top_limbs(self.limbs[0], 0, 0),
+            len => ln_top_limbs(self.limbs[len - 1], self.limbs[len - 2], len - 1),
         }
-        let top = self.limbs.len() - 1;
-        let hi = self.limbs[top] as f64;
-        let lo = if top > 0 {
-            self.limbs[top - 1] as f64
-        } else {
-            0.0
-        };
-        let mantissa = hi + lo / 1.8446744073709552e19;
-        mantissa.ln() + (top as f64) * 64.0 * std::f64::consts::LN_2
+    }
+
+    /// [`BigNat::ln`] of a `u128`, bit for bit, without allocating.
+    pub fn ln_u128(v: u128) -> f64 {
+        let (hi, lo) = ((v >> 64) as u64, v as u64);
+        match (hi, lo) {
+            (0, 0) => f64::NEG_INFINITY,
+            (0, lo) => ln_top_limbs(lo, 0, 0),
+            (hi, lo) => ln_top_limbs(hi, lo, 1),
+        }
     }
 
     /// Convert to `u128`, if it fits.
@@ -215,6 +218,13 @@ impl BigNat {
             _ => None,
         }
     }
+}
+
+/// Natural log of a number whose top limb `hi` sits at index `top`, with
+/// `lo` the limb below it (0 when there is none).
+fn ln_top_limbs(hi: u64, lo: u64, top: usize) -> f64 {
+    let mantissa = hi as f64 + lo as f64 / 1.8446744073709552e19;
+    mantissa.ln() + (top as f64) * 64.0 * std::f64::consts::LN_2
 }
 
 impl fmt::Display for BigNat {
@@ -334,6 +344,20 @@ mod tests {
         let big = BigNat::pow2(500);
         let expected = 500.0 * std::f64::consts::LN_2;
         assert!((big.ln() - expected).abs() / expected < 1e-12);
+    }
+
+    #[test]
+    fn ln_u128_matches_bignat_ln_bitwise() {
+        let mut vals = vec![0u128, 1, 2, 3, u64::MAX as u128, 1 << 64, u128::MAX];
+        let mut x = 0x9e37_79b9_7f4a_7c15u128;
+        for shift in 0..128 {
+            x = x.wrapping_mul(0x2545_f491_4f6c_dd1d).wrapping_add(shift);
+            vals.push(x >> shift);
+        }
+        for v in vals {
+            let want = BigNat::from_u128(v).ln();
+            assert_eq!(BigNat::ln_u128(v).to_bits(), want.to_bits(), "v = {v}");
+        }
     }
 
     #[test]

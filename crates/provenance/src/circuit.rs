@@ -7,7 +7,9 @@
 //! variables* takes polynomial time: polynomial convolution at `∧`-nodes and
 //! disjoint sums at decision nodes. That counting primitive is exactly what
 //! exact Shapley computation needs (the `k!(n-k-1)!/n!` weights are indexed
-//! by coalition size).
+//! by coalition size). [`Circuit::marginals_by_size`] differentiates that
+//! count in one reverse pass, yielding every variable's marginal counts at
+//! once.
 
 use crate::bigint::BigNat;
 use ls_relational::FactId;
@@ -421,28 +423,6 @@ impl Circuit {
         memo: &mut HashMap<NodeId, Vec<u128>>,
         binom: &BinomialsU128,
     ) -> Vec<u128> {
-        self.count_rec_u128_based(id, condition, memo, binom, None)
-    }
-
-    /// Like [`Self::count_rec_u128`], but nodes whose support does not
-    /// mention the conditioned variable short-circuit to the shared
-    /// unconditioned `base` memo — the key optimization when counting the
-    /// same circuit conditioned on every fact in turn (exact Shapley).
-    fn count_rec_u128_based(
-        &self,
-        id: NodeId,
-        condition: Option<(FactId, bool)>,
-        memo: &mut HashMap<NodeId, Vec<u128>>,
-        binom: &BinomialsU128,
-        base: Option<&HashMap<NodeId, Vec<u128>>>,
-    ) -> Vec<u128> {
-        if let (Some(b), Some((cv, _))) = (base, condition) {
-            if self.support(id).binary_search(&cv).is_err() {
-                if let Some(p) = b.get(&id) {
-                    return p.clone();
-                }
-            }
-        }
         if let Some(p) = memo.get(&id) {
             return p.clone();
         }
@@ -463,7 +443,7 @@ impl Circuit {
             Node::And(children) => {
                 let mut acc = vec![1u128];
                 for &c in children {
-                    let p = self.count_rec_u128_based(c, condition, memo, binom, base);
+                    let p = self.count_rec_u128(c, condition, memo, binom);
                     acc = poly_mul_u128(&acc, &p);
                     if acc.is_empty() {
                         break;
@@ -476,7 +456,7 @@ impl Circuit {
                 // Sat(z) = (1+z)^{t_self} − NonSat(z).
                 let mut non = vec![1u128];
                 for &c in children {
-                    let p = self.count_rec_u128_based(c, condition, memo, binom, base);
+                    let p = self.count_rec_u128(c, condition, memo, binom);
                     let t_c = self.effective_support_len(c, cond_var);
                     let row = binom.row(t_c);
                     let non_c: Vec<u128> = (0..=t_c)
@@ -495,13 +475,13 @@ impl Circuit {
                 match condition {
                     Some((cv, val)) if cv == *var => {
                         let b = if val { *hi } else { *lo };
-                        let p = self.count_rec_u128_based(b, condition, memo, binom, base);
+                        let p = self.count_rec_u128(b, condition, memo, binom);
                         let missing = t_self - self.effective_support_len(b, cond_var);
                         mul_fill_u128(&p, missing, binom)
                     }
                     _ => {
-                        let p_hi = self.count_rec_u128_based(*hi, condition, memo, binom, base);
-                        let p_lo = self.count_rec_u128_based(*lo, condition, memo, binom, base);
+                        let p_hi = self.count_rec_u128(*hi, condition, memo, binom);
+                        let p_lo = self.count_rec_u128(*lo, condition, memo, binom);
                         let miss_hi = t_self - 1 - self.effective_support_len(*hi, cond_var);
                         let miss_lo = t_self - 1 - self.effective_support_len(*lo, cond_var);
                         let mut hi_part = mul_fill_u128(&p_hi, miss_hi, binom);
@@ -617,55 +597,207 @@ impl Circuit {
         poly
     }
 
-    /// Precompute the shared unconditioned memo used by
-    /// [`Self::count_by_size_based`]. Returns `None` outside the u128
-    /// fast-path regime (`universe_size > U128_UNIVERSE_LIMIT`).
-    pub fn count_base(&self, root: NodeId, universe_size: usize) -> Option<CountBase> {
-        if universe_size > U128_UNIVERSE_LIMIT {
-            return None;
-        }
-        let binom = BinomialsU128::up_to(universe_size + 1);
-        let mut memo = HashMap::new();
-        let _ = self.count_rec_u128(root, None, &mut memo, &binom);
-        Some(CountBase { memo, binom })
-    }
-
-    /// [`Self::count_by_size`] with conditioning, reusing a precomputed
-    /// [`CountBase`]: only nodes whose support mentions the conditioned fact
-    /// are recomputed.
-    pub fn count_by_size_based(
-        &self,
-        root: NodeId,
-        universe: &[FactId],
-        condition: (FactId, bool),
-        base: &CountBase,
-    ) -> Vec<BigNat> {
-        debug_assert!(universe.binary_search(&condition.0).is_err());
-        let mut memo: HashMap<NodeId, Vec<u128>> = HashMap::new();
-        let poly = self.count_rec_u128_based(
-            root,
-            Some(condition),
-            &mut memo,
-            &base.binom,
-            Some(&base.memo),
-        );
-        let t_root = self.effective_support_len(root, Some(condition.0));
-        let free = universe.len() - t_root;
-        let filled = mul_fill_u128(&poly, free, &base.binom);
-        let mut out: Vec<BigNat> = filled.into_iter().map(BigNat::from_u128).collect();
-        while out.len() < universe.len() + 1 {
-            out.push(BigNat::zero());
-        }
-        out.truncate(universe.len() + 1);
-        out
-    }
-
     /// Total model count over `universe` (sum of the cardinality counts).
     pub fn count_models(&self, root: NodeId, universe: &[FactId]) -> BigNat {
         self.count_by_size(root, universe, None)
             .into_iter()
             .fold(BigNat::zero(), |acc, c| acc.add(&c))
     }
+
+    /// Every variable's marginal counts by cardinality, from one forward and
+    /// one reverse pass over the arena.
+    ///
+    /// For `f = universe[i]`, `out[i][k]` (`k = 0..n`, `n = universe.len()`)
+    /// is `#Sat(f := 1)[k] − #Sat(f := 0)[k]`: the difference of the two
+    /// conditioned [`Self::count_by_size`] calls over the other `n − 1`
+    /// variables, integer for integer, taken mod 2^128 (it is the difference
+    /// itself whenever that is non-negative, which monotonicity guarantees
+    /// for provenance). Returns `None` when `n` exceeds
+    /// [`U128_UNIVERSE_LIMIT`]; `universe` must be sorted.
+    ///
+    /// This is reverse-mode differentiation of the counting circuit
+    /// (Darwiche, "A differential approach to inference in Bayesian
+    /// networks", J. ACM 2003). Give each variable `x` a weight `p_x` when
+    /// true and `q_x` when false; the root's size polynomial is then
+    /// multilinear in every `(p_x, q_x)`, and `(∂/∂p_f − ∂/∂q_f)` of it is
+    /// the marginal of `f`. A fill factor `(1+z)^m` stands for a product of
+    /// `(p_x + q_x)` terms, which that operator annihilates, so adjoints never
+    /// flow into fill factors. The forward pass computes each reachable
+    /// node's size polynomial `sat[u]` (as [`Self::count_by_size`] does); the
+    /// reverse pass starts from `adj[root] = (1+z)^(n − |supp root|)` and
+    /// hands each child the partial derivative of its parent:
+    ///
+    /// * `And`: the product of the siblings' `sat`;
+    /// * `DisjointOr`: the product of the siblings' `(1+z)^{t_j} − sat_j`;
+    /// * `Decision(v, hi, lo)`: `z·(1+z)^{miss_hi}` to `hi` and
+    ///   `(1+z)^{miss_lo}` to `lo`, while `v`'s marginal gains
+    ///   `adj · ((1+z)^{miss_hi}·sat_hi − (1+z)^{miss_lo}·sat_lo)`;
+    /// * `Leaf(f)`: `f`'s marginal gains `adj`.
+    ///
+    /// Every step is a ring operation, so wrapping `u128` arithmetic yields
+    /// each marginal exactly mod 2^128 however large the intermediate
+    /// adjoints grow, and a marginal over `n − 1 ≤ 119` free variables is
+    /// below `2^119`, so it is exact.
+    ///
+    /// # Panics
+    /// Panics if the root's support is not contained in `universe`.
+    pub fn marginals_by_size(&self, root: NodeId, universe: &[FactId]) -> Option<Vec<Vec<u128>>> {
+        let n = universe.len();
+        if n > U128_UNIVERSE_LIMIT {
+            return None;
+        }
+        for v in self.support(root) {
+            assert!(
+                universe.binary_search(v).is_ok(),
+                "support variable {v} missing from universe"
+            );
+        }
+        let binom = BinomialsU128::up_to(n);
+        let t = |u: usize| self.supports[u].len();
+        let slot = |f: &FactId| universe.binary_search(f).expect("support within universe");
+        // Children always have smaller ids than their parent (`from_nodes`
+        // rejects anything else; `intern` appends after the children), so
+        // one descending sweep marks the nodes reachable from the root, and
+        // ascending / descending index loops visit them bottom-up / top-down.
+        let r = root.index();
+        let mut reach = vec![false; r + 1];
+        reach[r] = true;
+        for u in (0..=r).rev() {
+            if !reach[u] {
+                continue;
+            }
+            match &self.nodes[u] {
+                Node::And(ch) | Node::DisjointOr(ch) => {
+                    for c in ch {
+                        reach[c.index()] = true;
+                    }
+                }
+                Node::Decision { hi, lo, .. } => {
+                    reach[hi.index()] = true;
+                    reach[lo.index()] = true;
+                }
+                Node::True | Node::False | Node::Leaf(_) => {}
+            }
+        }
+
+        // Forward: sat[u] holds exactly |supp u| + 1 coefficients.
+        let mut sat: Vec<Vec<u128>> = vec![Vec::new(); r + 1];
+        for u in (0..=r).filter(|&u| reach[u]) {
+            sat[u] = match &self.nodes[u] {
+                Node::True => vec![1],
+                Node::False => vec![0],
+                Node::Leaf(_) => vec![0, 1],
+                Node::And(ch) => ch
+                    .iter()
+                    .fold(vec![1], |acc, c| poly_mul_u128(&acc, &sat[c.index()])),
+                Node::DisjointOr(ch) => {
+                    let non = ch.iter().fold(vec![1], |acc, c| {
+                        poly_mul_u128(&acc, &complement_u128(&sat[c.index()], &binom))
+                    });
+                    complement_u128(&non, &binom)
+                }
+                Node::Decision { hi, lo, .. } => {
+                    let (h, l) = (hi.index(), lo.index());
+                    let mut out = vec![0u128; t(u) + 1];
+                    // z·(1+z)^{miss_hi}·sat_hi + (1+z)^{miss_lo}·sat_lo.
+                    add_assign_u128(
+                        &mut out[1..],
+                        &mul_fill_u128(&sat[h], t(u) - 1 - t(h), &binom),
+                    );
+                    add_assign_u128(&mut out, &mul_fill_u128(&sat[l], t(u) - 1 - t(l), &binom));
+                    out
+                }
+            };
+        }
+
+        // Reverse: adj[u] is ∂(root count)/∂sat[u], with at most
+        // n − |supp u| + 1 coefficients.
+        let mut adj: Vec<Vec<u128>> = vec![Vec::new(); r + 1];
+        adj[r] = binom.row(n - t(r)).to_vec();
+        let mut out = vec![vec![0u128; n]; n];
+        for u in (0..=r).rev().filter(|&u| reach[u]) {
+            let a = std::mem::take(&mut adj[u]);
+            if a.iter().all(|&c| c == 0) {
+                continue;
+            }
+            match &self.nodes[u] {
+                Node::True | Node::False => {}
+                Node::Leaf(f) => add_assign_u128(&mut out[slot(f)], &a),
+                Node::And(ch) => {
+                    let factors: Vec<&[u128]> =
+                        ch.iter().map(|c| sat[c.index()].as_slice()).collect();
+                    for (c, g) in ch.iter().zip(adjoint_products(&a, &factors)) {
+                        accumulate_u128(&mut adj[c.index()], &g);
+                    }
+                }
+                Node::DisjointOr(ch) => {
+                    let non: Vec<Vec<u128>> = ch
+                        .iter()
+                        .map(|c| complement_u128(&sat[c.index()], &binom))
+                        .collect();
+                    let factors: Vec<&[u128]> = non.iter().map(Vec::as_slice).collect();
+                    for (c, g) in ch.iter().zip(adjoint_products(&a, &factors)) {
+                        accumulate_u128(&mut adj[c.index()], &g);
+                    }
+                }
+                Node::Decision { var, hi, lo } => {
+                    let (h, l) = (hi.index(), lo.index());
+                    let (miss_hi, miss_lo) = (t(u) - 1 - t(h), t(u) - 1 - t(l));
+                    let mut to_hi = vec![0u128];
+                    to_hi.extend(mul_fill_u128(&a, miss_hi, &binom));
+                    accumulate_u128(&mut adj[h], &to_hi);
+                    accumulate_u128(&mut adj[l], &mul_fill_u128(&a, miss_lo, &binom));
+                    let mut diff = mul_fill_u128(&sat[h], miss_hi, &binom);
+                    for (d, lo_c) in diff.iter_mut().zip(mul_fill_u128(&sat[l], miss_lo, &binom)) {
+                        *d = d.wrapping_sub(lo_c);
+                    }
+                    add_assign_u128(&mut out[slot(var)], &poly_mul_u128(&a, &diff));
+                }
+            }
+        }
+        Some(out)
+    }
+}
+
+/// `seed · Π_{j≠i} factors[j]` for every `i`, from prefix and suffix
+/// products (no division): the adjoints an `And` / `DisjointOr` node hands
+/// its children.
+fn adjoint_products(seed: &[u128], factors: &[&[u128]]) -> Vec<Vec<u128>> {
+    let m = factors.len();
+    let mut suffix = vec![vec![1u128]; m + 1];
+    for i in (0..m).rev() {
+        suffix[i] = poly_mul_u128(factors[i], &suffix[i + 1]);
+    }
+    let mut prefix = seed.to_vec();
+    let mut out = Vec::with_capacity(m);
+    for i in 0..m {
+        out.push(poly_mul_u128(&prefix, &suffix[i + 1]));
+        if i + 1 < m {
+            prefix = poly_mul_u128(&prefix, factors[i]);
+        }
+    }
+    out
+}
+
+/// `(1+z)^t − p` for a polynomial `p` of exactly `t + 1` coefficients.
+fn complement_u128(p: &[u128], binom: &BinomialsU128) -> Vec<u128> {
+    let row = binom.row(p.len() - 1);
+    row.iter().zip(p).map(|(b, c)| b.wrapping_sub(*c)).collect()
+}
+
+/// `dst += src` coefficient-wise, wrapping; `src` is no longer than `dst`.
+fn add_assign_u128(dst: &mut [u128], src: &[u128]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = d.wrapping_add(*s);
+    }
+}
+
+/// `dst += src`, growing `dst` to `src`'s length first.
+fn accumulate_u128(dst: &mut Vec<u128>, src: &[u128]) {
+    if dst.len() < src.len() {
+        dst.resize(src.len(), 0);
+    }
+    add_assign_u128(dst, src);
 }
 
 /// Polynomial product (coefficients by cardinality). Empty vec = zero.
@@ -721,9 +853,11 @@ fn mul_fill(p: &[BigNat], k: usize, binom: &Binomials) -> Vec<BigNat> {
 
 /// Universe-size cutoff below which counting runs in exact `u128`
 /// arithmetic (all counts ≤ 2^n and all convolution intermediates stay
-/// counts, so n ≤ 120 cannot overflow).
+/// counts, so n ≤ 120 cannot overflow), and [`Circuit::marginals_by_size`]
+/// applies.
 pub const U128_UNIVERSE_LIMIT: usize = 120;
 
+/// Polynomial product in wrapping `u128` arithmetic (exact mod 2^128).
 fn poly_mul_u128(a: &[u128], b: &[u128]) -> Vec<u128> {
     if a.is_empty() || b.is_empty() {
         return Vec::new();
@@ -734,12 +868,13 @@ fn poly_mul_u128(a: &[u128], b: &[u128]) -> Vec<u128> {
             continue;
         }
         for (j, &cb) in b.iter().enumerate() {
-            out[i + j] += ca * cb;
+            out[i + j] = out[i + j].wrapping_add(ca.wrapping_mul(cb));
         }
     }
     out
 }
 
+/// Multiply by `(1+z)^k` in wrapping `u128` arithmetic.
 fn mul_fill_u128(p: &[u128], k: usize, binom: &BinomialsU128) -> Vec<u128> {
     if k == 0 || p.is_empty() {
         return p.to_vec();
@@ -751,18 +886,10 @@ fn mul_fill_u128(p: &[u128], k: usize, binom: &BinomialsU128) -> Vec<u128> {
             continue;
         }
         for (j, &b) in row.iter().enumerate() {
-            out[i + j] += c * b;
+            out[i + j] = out[i + j].wrapping_add(c.wrapping_mul(b));
         }
     }
     out
-}
-
-/// Shared unconditioned counting state for repeated conditioned counts over
-/// one circuit (see [`Circuit::count_base`]).
-#[derive(Debug)]
-pub struct CountBase {
-    memo: HashMap<NodeId, Vec<u128>>,
-    binom: BinomialsU128,
 }
 
 /// Pascal rows in `u128` (valid to n = 120 within the fast-path regime).

@@ -8,50 +8,50 @@
 //! ```
 //!
 //! where `#Sat₁` / `#Sat₀` count satisfying subsets of the other `n−1`
-//! players with `f` fixed true / false. Cheaper than Shapley (no per-size
-//! resolution needed) and used as an auxiliary attribution signal in the
-//! ablation benches.
+//! players with `f` fixed true / false. The pivotal count is the sum over
+//! coalition sizes of the same marginal counts exact Shapley uses, from the
+//! same adjoint pass. Cheaper than Shapley (no per-size weighting) and used
+//! as an auxiliary attribution signal in the ablation benches.
 
-use crate::exact::FactScores;
-use ls_provenance::{compile, CompileOptions, Dnf};
-use ls_relational::FactId;
+use crate::exact::{FactScores, Marginals};
+use ls_provenance::{compile, BigNat, CompileOptions, Dnf};
 
 /// Exact Banzhaf values of every lineage fact.
 pub fn banzhaf_values(provenance: &Dnf) -> FactScores {
     let players = provenance.variables();
-    let mut out = FactScores::new();
     if players.is_empty() {
-        return out;
+        return FactScores::new();
     }
     let compiled = compile(provenance, CompileOptions::default());
-    let n = players.len();
-    for &f in &players {
-        let others: Vec<FactId> = players.iter().copied().filter(|&x| x != f).collect();
-        let with = compiled
-            .circuit
-            .count_by_size(compiled.root, &others, Some((f, true)))
-            .into_iter()
-            .fold(ls_provenance::BigNat::zero(), |a, c| a.add(&c));
-        let without = compiled
-            .circuit
-            .count_by_size(compiled.root, &others, Some((f, false)))
-            .into_iter()
-            .fold(ls_provenance::BigNat::zero(), |a, c| a.add(&c));
-        let pivotal = with.sub(&without);
-        let value = if pivotal.is_zero() {
-            0.0
-        } else {
-            (pivotal.ln() - ((n - 1) as f64) * std::f64::consts::LN_2).exp()
-        };
-        out.insert(f, value);
-    }
-    out
+    let ln_pivotal: Vec<f64> = match Marginals::of(&compiled.circuit, compiled.root, &players) {
+        Marginals::Small(d) => d
+            .iter()
+            .map(|d_f| BigNat::ln_u128(d_f.iter().fold(0, |acc, &c| acc.wrapping_add(c))))
+            .collect(),
+        Marginals::Large(d) => d
+            .iter()
+            .map(|d_f| d_f.iter().fold(BigNat::zero(), |acc, c| acc.add(c)).ln())
+            .collect(),
+    };
+    let ln_coalitions = ((players.len() - 1) as f64) * std::f64::consts::LN_2;
+    players
+        .iter()
+        .zip(ln_pivotal)
+        .map(|(&f, ln_p)| {
+            let value = if ln_p == f64::NEG_INFINITY {
+                0.0
+            } else {
+                (ln_p - ln_coalitions).exp()
+            };
+            (f, value)
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ls_relational::Monomial;
+    use ls_relational::{FactId, Monomial};
 
     fn dnf(monos: &[&[u32]]) -> Dnf {
         Dnf::from_monomials(

@@ -10,9 +10,14 @@
 //!
 //! where `#Sat₁(k)` (resp. `#Sat₀(k)`) counts size-`k` subsets `E` of the
 //! other `n−1` players with `φ(E ∪ {f}) = 1` (resp. `φ(E) = 1`). Both counts
-//! come from one compiled circuit, conditioned on `f = 1` / `f = 0` — the
-//! polynomial-time route of Deutch, Frost, Kimelfeld & Monet (the paper's
-//! `[15]`), which this crate reproduces.
+//! come from one compiled circuit — the polynomial-time route of Deutch,
+//! Frost, Kimelfeld & Monet (the paper's `[15]`), which this crate
+//! reproduces. Rather than conditioning the circuit on `f = 1` and `f = 0`
+//! for each of the `n` players, every player's marginal
+//! `D_f[k] = #Sat₁(k) − #Sat₀(k)` comes out of one forward and one reverse
+//! (adjoint) pass over the circuit ([`Circuit::marginals_by_size`]), in exact
+//! `u128` arithmetic for `n ≤ 120`. Larger lineages keep the two conditioned
+//! big-integer counts per player.
 
 use ls_provenance::{compile, BigNat, Circuit, CompileOptions, Compiled, Dnf, NodeId};
 use ls_relational::{FactId, LineageArena, MonoRef};
@@ -56,10 +61,6 @@ pub fn shapley_values_opts(provenance: &Dnf, opts: CompileOptions) -> FactScores
 
 /// Exact Shapley values reusing an already-compiled circuit (used when many
 /// facts of the same `(q, t)` pair are scored — the common case).
-///
-/// When the player count is within the u128 fast-path regime, the
-/// unconditioned counting pass is shared across all facts and each
-/// conditioned pass only revisits circuit nodes that mention the fact.
 pub fn shapley_values_compiled(compiled: &Compiled, players: &[FactId]) -> FactScores {
     shapley_values_circuit(&compiled.circuit, compiled.root, players)
 }
@@ -67,49 +68,67 @@ pub fn shapley_values_compiled(compiled: &Compiled, players: &[FactId]) -> FactS
 /// Exact Shapley values over a bare circuit arena and root — the layer under
 /// [`shapley_values_compiled`], for circuits that did not come out of the
 /// compiler just now (e.g. entries reloaded from the `ls-circuit` store).
+///
+/// `players` must be sorted and contain the root's support. Every player's
+/// marginal counts come from one adjoint pass over the circuit; each
+/// value is a pure function of (circuit, sorted players), so it is the same
+/// at every thread count.
 pub fn shapley_values_circuit(circuit: &Circuit, root: NodeId, players: &[FactId]) -> FactScores {
-    let mut out = FactScores::new();
     if players.is_empty() {
-        return out;
+        return FactScores::new();
     }
     let sp = ls_obs::span("shapley.exact")
         .with("players", players.len())
         .with("circuit_nodes", circuit.len());
-    let telemetry = ls_obs::enabled();
     let weights = shapley_weights(players.len());
-    let base = circuit.count_base(root, players.len());
-    // Every player's marginal-count pass is independent and reads only the
-    // shared compiled circuit, so facts are scored across the ls-par pool.
-    // Each value is a pure function of (circuit, fact), so the result set is
-    // identical at every thread count.
-    let scored = ls_par::par_map(players, |_, &f| {
-        let fact_start = telemetry.then(std::time::Instant::now);
-        let others: Vec<FactId> = players.iter().copied().filter(|&x| x != f).collect();
-        let (with, without) = match &base {
-            Some(b) => (
-                circuit.count_by_size_based(root, &others, (f, true), b),
-                circuit.count_by_size_based(root, &others, (f, false), b),
-            ),
-            None => (
-                circuit.count_by_size(root, &others, Some((f, true))),
-                circuit.count_by_size(root, &others, Some((f, false))),
-            ),
-        };
-        let v = weighted_marginal_sum(&with, &without, &weights);
-        if let Some(start) = fact_start {
-            ls_obs::histogram("shapley.exact.per_fact").record(start.elapsed().as_secs_f64());
-        }
-        (f, v)
-    });
-    out.extend(scored);
-    if telemetry {
+    let values: Vec<f64> = match Marginals::of(circuit, root, players) {
+        Marginals::Small(d) => d
+            .iter()
+            .map(|d_f| weighted_marginal_sum(d_f.iter().map(|&c| BigNat::ln_u128(c)), &weights))
+            .collect(),
+        Marginals::Large(d) => d
+            .iter()
+            .map(|d_f| weighted_marginal_sum(d_f.iter().map(BigNat::ln), &weights))
+            .collect(),
+    };
+    if ls_obs::enabled() {
         ls_obs::counter("shapley.exact.facts_scored").add(players.len() as u64);
         // Every coalition size 0..n is counted analytically per fact.
         ls_obs::counter("shapley.exact.coalition_sizes")
             .add((players.len() * players.len()) as u64);
     }
     drop(sp);
-    out
+    players.iter().copied().zip(values).collect()
+}
+
+/// Every player's marginal counts `D_f[k] = #Sat₁(k) − #Sat₀(k)`
+/// (`k = 0..n`), in `players` order.
+pub(crate) enum Marginals {
+    /// From one adjoint pass over the circuit (`n ≤ 120`).
+    Small(Vec<Vec<u128>>),
+    /// From two conditioned big-integer counts per player (`n > 120`).
+    Large(Vec<Vec<BigNat>>),
+}
+
+impl Marginals {
+    /// The marginals of every player of the sorted `players` over the
+    /// circuit at `root`.
+    pub(crate) fn of(circuit: &Circuit, root: NodeId, players: &[FactId]) -> Marginals {
+        if let Some(d) = circuit.marginals_by_size(root, players) {
+            return Marginals::Small(d);
+        }
+        Marginals::Large(
+            players
+                .iter()
+                .map(|&f| {
+                    let others: Vec<FactId> = players.iter().copied().filter(|&x| x != f).collect();
+                    let with = circuit.count_by_size(root, &others, Some((f, true)));
+                    let without = circuit.count_by_size(root, &others, Some((f, false)));
+                    with.iter().zip(&without).map(|(w, wo)| w.sub(wo)).collect()
+                })
+                .collect(),
+        )
+    }
 }
 
 /// The coalition-size weights `w[k] = k!·(n-k-1)!/n!` for `k = 0..n`,
@@ -125,18 +144,16 @@ pub fn shapley_weights(n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// `Σ_k w[k] · (with[k] − without[k])`, with the difference taken in exact
-/// big-integer arithmetic (monotonicity guarantees non-negativity) and the
-/// final product in log-space.
-fn weighted_marginal_sum(with: &[BigNat], without: &[BigNat], weights: &[f64]) -> f64 {
+/// `Σ_k w[k] · D_f[k]`, given `ln D_f[k]` (`-inf` for a zero count): the
+/// marginal counts are exact integers and the product is taken in log-space
+/// to survive huge counts.
+fn weighted_marginal_sum(ln_marginals: impl Iterator<Item = f64>, weights: &[f64]) -> f64 {
     let mut acc = 0.0f64;
-    for (k, w) in weights.iter().enumerate() {
-        let d = with[k].sub(&without[k]);
-        if d.is_zero() {
+    for (w, ln_d) in weights.iter().zip(ln_marginals) {
+        if ln_d == f64::NEG_INFINITY {
             continue;
         }
-        // w is exp(ln w); combine in log-space to survive huge counts.
-        acc += (w.ln() + d.ln()).exp();
+        acc += (w.ln() + ln_d).exp();
     }
     acc
 }
@@ -268,6 +285,70 @@ mod tests {
                 assert_eq!(v.to_bits(), par[f].to_bits(), "fact {f:?} at {t} threads");
             }
         }
+    }
+
+    /// The conditioned big-integer route the adjoint pass replaced: two
+    /// `count_by_size` calls per player.
+    fn conditioned_shapley(d: &Dnf) -> FactScores {
+        let players = d.variables();
+        let c = compile(d, CompileOptions::default());
+        let weights = shapley_weights(players.len());
+        players
+            .iter()
+            .map(|&f| {
+                let others: Vec<FactId> = players.iter().copied().filter(|&x| x != f).collect();
+                let with = c.circuit.count_by_size(c.root, &others, Some((f, true)));
+                let without = c.circuit.count_by_size(c.root, &others, Some((f, false)));
+                let lns = with.iter().zip(&without).map(|(w, wo)| w.sub(wo).ln());
+                (f, weighted_marginal_sum(lns, &weights))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn adjoint_values_are_bit_identical_to_conditioned_counts() {
+        let chain: Vec<[u32; 2]> = (0..99).map(|i| [i, i + 1]).collect();
+        let mut cases = vec![
+            dnf(&[&[0, 1, 4, 6], &[0, 2, 4, 7], &[0, 3, 5, 8], &[1, 2, 9]]),
+            dnf(&[&[0, 1], &[1, 2], &[2, 3], &[3, 4, 5], &[6]]),
+            dnf(&[&[0, 1, 2, 3, 4, 5, 6, 7]]),
+            dnf(&chain.iter().map(|c| c.as_slice()).collect::<Vec<_>>()),
+        ];
+        cases.push(dnf(&[&[3], &[4, 9], &[9, 11], &[11, 3, 20]]));
+        for d in &cases {
+            let adjoint = shapley_values(d);
+            let conditioned = conditioned_shapley(d);
+            assert_eq!(adjoint.len(), conditioned.len());
+            for (f, v) in &conditioned {
+                assert_eq!(adjoint[f].to_bits(), v.to_bits(), "fact {f} of {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn lineage_beyond_the_u128_limit_takes_the_bignat_path() {
+        // 61 disjoint pairs: 122 symmetric players, each worth 1/122.
+        let pairs: Vec<[u32; 2]> = (0..61).map(|i| [2 * i, 2 * i + 1]).collect();
+        let monos: Vec<&[u32]> = pairs.iter().map(|p| p.as_slice()).collect();
+        let d = dnf(&monos);
+        let players = d.variables();
+        assert_eq!(players.len(), 122);
+        let compiled = compile(&d, CompileOptions::default());
+        assert!(compiled
+            .circuit
+            .marginals_by_size(compiled.root, &players)
+            .is_none());
+        assert!(matches!(
+            Marginals::of(&compiled.circuit, compiled.root, &players),
+            Marginals::Large(_)
+        ));
+        let scores = shapley_values_compiled(&compiled, &players);
+        assert_eq!(scores.len(), 122);
+        for v in scores.values() {
+            assert!((v - 1.0 / 122.0).abs() < 1e-12, "value {v}");
+        }
+        let total: f64 = scores.values().sum();
+        assert!(close(total, 1.0), "total = {total}");
     }
 
     #[test]

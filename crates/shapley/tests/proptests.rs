@@ -21,7 +21,31 @@ fn small_dnf() -> impl Strategy<Value = Dnf> {
     })
 }
 
+/// A random monotone DNF over at most 12 facts.
+fn dnf_up_to_12() -> impl Strategy<Value = Dnf> {
+    proptest::collection::vec(proptest::collection::vec(0u32..12, 1..5), 1..9).prop_map(|monos| {
+        Dnf::from_monomials(
+            monos
+                .into_iter()
+                .map(|ids| Monomial::from_facts(ids.into_iter().map(FactId).collect()))
+                .collect(),
+        )
+    })
+}
+
 proptest! {
+    /// The adjoint-pass exact values equal brute-force enumeration on
+    /// lineages of up to 12 facts.
+    #[test]
+    fn exact_matches_bruteforce_up_to_12_facts(d in dnf_up_to_12()) {
+        let fast = shapley_values(&d);
+        let brute = shapley_values_bruteforce(&d);
+        prop_assert_eq!(fast.len(), brute.len());
+        for (f, v) in &brute {
+            prop_assert!((fast[f] - v).abs() < 1e-9, "fact {} differs: {} vs {}", f, fast[f], v);
+        }
+    }
+
     /// Circuit-based exact values equal brute-force values.
     #[test]
     fn exact_matches_bruteforce(d in small_dnf()) {
