@@ -44,7 +44,7 @@ impl Json {
 }
 
 /// Append a JSON string literal (with escaping) to `out`.
-pub(crate) fn emit_str(out: &mut String, s: &str) {
+pub fn emit_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -46,7 +46,7 @@ mod sink;
 mod span;
 mod trace;
 
-pub use json::{parse as parse_json, Json};
+pub use json::{emit_str as emit_json_str, parse as parse_json, Json};
 pub use metrics::{Counter, Gauge, HistStats, Histogram, Meter, EXEMPLAR_SLOTS};
 pub use sink::{
     flush, init_jsonl, init_jsonl_writer, jsonl_active, metrics_json, report, summary,

@@ -12,17 +12,14 @@
 //! ```
 //!
 //! Output is the server's JSON, pretty-printed; `--raw` prints it compact
-//! (one line, suitable for piping into other tooling). `--binary` carries
-//! the admin frames over the negotiated binary protocol instead of JSON —
-//! same answers, and a live check that a binary connection serves admin
-//! introspection too (falls back to JSON against a legacy server).
+//! (one line, suitable for piping into other tooling).
 
-use ls_obs::Json;
-use ls_serve::{AdminCommand, Protocol, RetryPolicy, TcpRankClient};
+use ls_obs::{emit_json_str, Json};
+use ls_serve::{AdminCommand, TcpRankClient};
 use std::fmt::Write as _;
 
 fn usage() -> ! {
-    eprintln!("usage: obsctl <host:port> <metrics|state|traces|recorder> [--raw] [--binary]");
+    eprintln!("usage: obsctl <host:port> <metrics|state|traces|recorder> [--raw]");
     std::process::exit(2);
 }
 
@@ -40,7 +37,7 @@ fn emit(out: &mut String, v: &Json) {
                 out.push_str("null");
             }
         }
-        Json::Str(s) => emit_str(out, s),
+        Json::Str(s) => emit_json_str(out, s),
         Json::Arr(items) => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
@@ -57,31 +54,13 @@ fn emit(out: &mut String, v: &Json) {
                 if i > 0 {
                     out.push(',');
                 }
-                emit_str(out, k);
+                emit_json_str(out, k);
                 out.push(':');
                 emit(out, item);
             }
             out.push('}');
         }
     }
-}
-
-fn emit_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Pretty emit: objects and arrays of objects go multi-line, scalar arrays
@@ -111,7 +90,7 @@ fn emit_pretty(out: &mut String, v: &Json, indent: usize) {
             out.push_str("{\n");
             for (i, (k, item)) in map.iter().enumerate() {
                 out.push_str(&pad_in);
-                emit_str(out, k);
+                emit_json_str(out, k);
                 out.push_str(": ");
                 emit_pretty(out, item, indent + 1);
                 if i + 1 < map.len() {
@@ -129,7 +108,6 @@ fn emit_pretty(out: &mut String, v: &Json, indent: usize) {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let raw = argv.iter().any(|a| a == "--raw");
-    let binary = argv.iter().any(|a| a == "--binary");
     let pos: Vec<&String> = argv.iter().filter(|a| !a.starts_with("--")).collect();
     let (addr, kw) = match pos.as_slice() {
         [addr, kw] => (addr.as_str(), kw.as_str()),
@@ -139,12 +117,7 @@ fn main() {
         eprintln!("unknown command {kw:?}");
         usage();
     };
-    let protocol = if binary {
-        Protocol::Binary
-    } else {
-        Protocol::Json
-    };
-    let mut client = match TcpRankClient::connect_opts(addr, RetryPolicy::none(), protocol) {
+    let mut client = match TcpRankClient::connect(addr) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("obsctl: connect {addr}: {e}");

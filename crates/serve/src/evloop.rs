@@ -10,9 +10,9 @@
 //! ## Connection state machine
 //!
 //! ```text
-//!   Greeting ──LSBP hello──▶ Binary ─┐
-//!      │ (any other bytes)           ├─▶ frames ─▶ dispatch ─▶ outbuf
-//!      └────────────────────▶ Json ──┘
+//!   Hello ──LSBP hello──▶ Framed ─▶ frames ─▶ dispatch ─▶ outbuf
+//!     │ (first 4 bytes not LSBP)
+//!     └──▶ closed unanswered (torn)
 //! ```
 //!
 //! Partial frames resume across wakeups (`inbuf` + consumed offset);
@@ -25,17 +25,15 @@
 //! ## Failure containment (unchanged from the thread-per-connection era)
 //!
 //! Garbage *inside* a well-formed frame answers a typed error and keeps
-//! the connection (the framing layer is still in sync, on both protocols).
-//! A torn framing layer — oversized length prefix, EOF mid-frame, injected
-//! I/O fault — poisons exactly that connection: it is deregistered and
-//! dropped, the listener and every other connection keep serving. The
+//! the connection (the framing layer is still in sync). A torn framing
+//! layer — a missing or bad hello, oversized length prefix, EOF mid-frame,
+//! injected I/O fault — poisons exactly that connection: it is deregistered
+//! and dropped, the listener and every other connection keep serving. The
 //! `ls-fault` injector seams sit where they always did: every read passes
 //! `serve.tcp.read`, every write `serve.tcp.write`.
 
 use crate::poller::{drain_wake, Event, Interest, Poller, Waker};
-use crate::proto::{
-    self, AdminCommand, Frame, Protocol, BINARY_VERSION, HELLO_LEN, MAGIC, MAX_FRAME,
-};
+use crate::proto::{self, AdminCommand, Frame, BINARY_VERSION, HELLO_LEN, MAGIC, MAX_FRAME};
 use crate::server::{ServeError, ServeHandle};
 use crate::tcp::TcpOptions;
 use ls_fault::{lock_safe, FaultyRead, FaultyWrite, Injector};
@@ -113,15 +111,15 @@ impl Mailbox {
 enum Close {
     /// Peer finished cleanly at a frame boundary with nothing in flight.
     Clean,
-    /// Framing torn: oversized prefix, EOF mid-frame, I/O error.
+    /// Framing torn: bad hello, oversized prefix, EOF mid-frame, I/O error.
     Torn,
 }
 
 enum Mode {
-    /// Nothing decoded yet: the first bytes pick the protocol.
-    Greeting,
-    Json,
-    Binary,
+    /// Nothing decoded yet: the connection must open with the hello.
+    Hello,
+    /// Hello acked: everything after it is length-prefixed frames.
+    Framed,
 }
 
 /// A cloneable view of one socket that costs no extra file descriptor.
@@ -159,8 +157,6 @@ struct Conn {
     outbuf: Vec<u8>,
     /// Bytes of `outbuf` already written to the socket.
     out_off: usize,
-    /// Reused across frames for JSON payloads encoded inline on the shard.
-    scratch: String,
     /// rank_async calls dispatched but not yet answered to the wire.
     pending: u32,
     read_closed: bool,
@@ -197,7 +193,6 @@ struct Completion {
     token: u64,
     gen: u32,
     id: u64,
-    protocol: Protocol,
     trace_id: u64,
 }
 
@@ -388,13 +383,12 @@ fn install_conn(
             "serve.tcp",
         ),
         stream,
-        mode: Mode::Greeting,
+        mode: Mode::Hello,
         gen: gens[slot],
         inbuf: Vec::new(),
         in_off: 0,
         outbuf: Vec::new(),
         out_off: 0,
-        scratch: String::new(),
         pending: 0,
         read_closed: false,
         paused: false,
@@ -506,32 +500,28 @@ fn process_frames(conn: &mut Conn, ctx: &ShardCtx, slot: usize) -> Result<(), Cl
     loop {
         let avail = &conn.inbuf[conn.in_off..];
         match conn.mode {
-            Mode::Greeting => {
-                if avail.len() < 4 {
-                    break;
+            Mode::Hello => {
+                // Reject a wrong opener as soon as its bytes disagree with
+                // the magic: a peer that skips the hello (an old JSON
+                // client, a stray scanner) is closed without an answer.
+                let seen = avail.len().min(MAGIC.len());
+                if avail[..seen] != MAGIC[..seen] {
+                    return Err(Close::Torn);
                 }
-                if avail[..4] == MAGIC {
-                    if avail.len() < HELLO_LEN {
-                        break; // hello arrives in pieces: resume later
-                    }
-                    let hello: [u8; HELLO_LEN] =
-                        avail[..HELLO_LEN].try_into().expect("sized slice");
-                    let Ok(peer_version) = proto::decode_hello(&hello) else {
-                        return Err(Close::Torn); // magic right, version 0
-                    };
-                    conn.in_off += HELLO_LEN;
-                    conn.mode = Mode::Binary;
-                    // Ack with the highest version both sides speak.
-                    let chosen = peer_version.min(BINARY_VERSION);
-                    conn.outbuf.extend_from_slice(&proto::encode_hello(chosen));
-                    ls_obs::counter("serve.tcp.binary_connections").incr();
-                } else {
-                    // Legacy peer: the first four bytes are a JSON frame's
-                    // length prefix. Consume nothing; reparse as JSON.
-                    conn.mode = Mode::Json;
+                if avail.len() < HELLO_LEN {
+                    break; // hello arrives in pieces: resume later
                 }
+                let hello: [u8; HELLO_LEN] = avail[..HELLO_LEN].try_into().expect("sized slice");
+                let Ok(peer_version) = proto::decode_hello(&hello) else {
+                    return Err(Close::Torn); // magic right, version 0
+                };
+                conn.in_off += HELLO_LEN;
+                conn.mode = Mode::Framed;
+                // Ack with the highest version both sides speak.
+                let chosen = peer_version.min(BINARY_VERSION);
+                conn.outbuf.extend_from_slice(&proto::encode_hello(chosen));
             }
-            Mode::Json | Mode::Binary => {
+            Mode::Framed => {
                 if avail.len() < 4 {
                     break;
                 }
@@ -548,7 +538,7 @@ fn process_frames(conn: &mut Conn, ctx: &ShardCtx, slot: usize) -> Result<(), Cl
                 let start = conn.in_off + 4;
                 conn.in_off = start + len;
                 ls_obs::counter("serve.tcp.frames").incr();
-                dispatch_frame(conn, start..start + len, ctx, slot)?;
+                dispatch_frame(conn, start..start + len, ctx, slot);
             }
         }
     }
@@ -565,81 +555,41 @@ fn process_frames(conn: &mut Conn, ctx: &ShardCtx, slot: usize) -> Result<(), Cl
 }
 
 /// Decode and act on one frame whose payload sits at `range` in `inbuf`.
-fn dispatch_frame(
-    conn: &mut Conn,
-    range: Range<usize>,
-    ctx: &ShardCtx,
-    slot: usize,
-) -> Result<(), Close> {
+fn dispatch_frame(conn: &mut Conn, range: Range<usize>, ctx: &ShardCtx, slot: usize) {
     // Split borrows: the payload lives in inbuf, replies go to outbuf.
     let Conn {
         inbuf,
         outbuf,
-        scratch,
         pending,
-        mode,
         gen,
         ..
     } = conn;
-    let payload = &inbuf[range];
-    let protocol = match mode {
-        Mode::Json => Protocol::Json,
-        Mode::Binary => Protocol::Binary,
-        Mode::Greeting => unreachable!("frames only parse after the greeting"),
-    };
-    match protocol {
-        Protocol::Json => match proto::decode_frame(payload) {
-            Ok(Frame::Rank(id, req, trace)) => {
-                submit_rank(ctx, slot, *gen, pending, id, req, trace, protocol);
-            }
-            Ok(Frame::Admin(id, cmd)) => {
-                let data = admin_payload(&ctx.handle, cmd);
-                proto::encode_admin_response_into(scratch, id, &data);
-                push_json_frame(outbuf, scratch.as_bytes());
-            }
-            Ok(Frame::Feedback(id, rec)) => {
-                // Answered inline once the record is crash-durable in the
-                // WAL. The fsync runs on the shard thread by design:
-                // feedback acks promise durability, and the append-latency
-                // histogram (`serve.feedback.append`) keeps the cost honest.
-                let result = ctx.handle.feedback(&rec);
-                proto::encode_feedback_response_into(scratch, id, &result);
-                push_json_frame(outbuf, scratch.as_bytes());
-            }
-            Err(msg) => {
-                // Garbage JSON inside a well-formed frame: typed reply under
-                // id 0, connection stays up — framing is still in sync.
-                ls_obs::counter("serve.tcp.bad_frames").incr();
-                proto::encode_response_into(scratch, 0, &Err(ServeError::BadRequest(msg)));
-                push_json_frame(outbuf, scratch.as_bytes());
-            }
-        },
-        Protocol::Binary => match proto::decode_binary_frame(payload) {
-            Ok(Frame::Rank(id, req, trace)) => {
-                submit_rank(ctx, slot, *gen, pending, id, req, trace, protocol);
-            }
-            Ok(Frame::Admin(id, cmd)) => {
-                let data = admin_payload(&ctx.handle, cmd);
-                outbuf.extend_from_slice(&proto::encode_binary_admin_response(id, &data));
-            }
-            Ok(Frame::Feedback(id, rec)) => {
-                let result = ctx.handle.feedback(&rec);
-                outbuf.extend_from_slice(&proto::encode_binary_feedback_response(id, &result));
-            }
-            Err(fe) => {
-                // Same containment as JSON garbage: the framing layer is
-                // intact, so answer typed and keep the connection.
-                ls_obs::counter("serve.tcp.bad_frames").incr();
-                let err = ServeError::BadRequest(fe.to_string());
-                outbuf.extend_from_slice(&proto::encode_binary_response(0, &Err(err)));
-            }
-        },
+    match proto::decode_binary_frame(&inbuf[range]) {
+        Ok(Frame::Rank(id, req, trace)) => submit_rank(ctx, slot, *gen, pending, id, req, trace),
+        Ok(Frame::Admin(id, cmd)) => {
+            let data = admin_payload(&ctx.handle, cmd);
+            outbuf.extend_from_slice(&proto::encode_binary_admin_response(id, &data));
+        }
+        Ok(Frame::Feedback(id, rec)) => {
+            // Answered inline once the record is crash-durable in the WAL.
+            // The fsync runs on the shard thread by design: feedback acks
+            // promise durability, and the append-latency histogram
+            // (`serve.feedback.append`) keeps the cost honest.
+            let result = ctx.handle.feedback(&rec);
+            outbuf.extend_from_slice(&proto::encode_binary_feedback_response(id, &result));
+        }
+        Err(fe) => {
+            // Garbage inside a well-formed frame: the framing layer is
+            // intact, so answer a typed error under id 0 and keep the
+            // connection.
+            ls_obs::counter("serve.tcp.bad_frames").incr();
+            let err = ServeError::BadRequest(fe.to_string());
+            outbuf.extend_from_slice(&proto::encode_binary_response(0, &Err(err)));
+        }
     }
-    Ok(())
 }
 
 /// Hand a rank request to the worker pool without blocking the shard.
-#[allow(clippy::too_many_arguments)]
 fn submit_rank(
     ctx: &ShardCtx,
     slot: usize,
@@ -648,7 +598,6 @@ fn submit_rank(
     id: u64,
     req: crate::server::RankRequest,
     trace: Option<ls_obs::TraceContext>,
-    protocol: Protocol,
 ) {
     // Adopt the client's wire trace for the submission path so admission
     // spans and stage samples stitch into the client's trace.
@@ -660,7 +609,6 @@ fn submit_rank(
         token: slot as u64,
         gen,
         id,
-        protocol,
         trace_id: trace.as_ref().map_or(0, |c| c.trace_id),
     };
     ctx.handle
@@ -672,15 +620,7 @@ fn submit_rank(
 /// cache hits and admission rejections, on a worker thread otherwise.
 fn deliver(c: Completion, result: Result<crate::server::RankResponse, ServeError>) {
     let t0 = ls_obs::enabled().then(Instant::now);
-    let bytes = match c.protocol {
-        Protocol::Json => {
-            let payload = proto::encode_response(c.id, &result);
-            let mut framed = Vec::with_capacity(payload.len() + 4);
-            push_json_frame(&mut framed, &payload);
-            framed
-        }
-        Protocol::Binary => proto::encode_binary_response(c.id, &result),
-    };
+    let bytes = proto::encode_binary_response(c.id, &result);
     if let Some(t0) = t0 {
         // The serialize stage runs after the response object exists, so it
         // lands in the histogram only — the breakdown inside the frame
@@ -694,12 +634,6 @@ fn deliver(c: Completion, result: Result<crate::server::RankResponse, ServeError
         gen: c.gen,
         bytes,
     });
-}
-
-fn push_json_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    debug_assert!(payload.len() as u64 <= MAX_FRAME as u64);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
 }
 
 /// Answer one admin query from live server state.

@@ -1,6 +1,6 @@
 //! TCP front-end: a readiness-driven event loop speaking the framed
-//! protocols of [`crate::proto`] (JSON and negotiated binary), forwarding
-//! each request to a [`ServeHandle`].
+//! binary protocol of [`crate::proto`], forwarding each request to a
+//! [`ServeHandle`].
 //!
 //! One blocking acceptor thread sets `TCP_NODELAY`, flips the socket
 //! nonblocking, and round-robins it to one of N event-loop **shards**
@@ -14,20 +14,18 @@
 //!
 //! A torn or malformed frame poisons exactly one connection: the handler
 //! replies with a typed error where it still can (garbage inside a
-//! well-formed frame, on either protocol), or closes that connection
-//! (corrupt length prefix, mid-frame EOF) — the accept loop and every
-//! other connection are untouched. [`TcpRankClient`] is the other half of
-//! the story: it reconnects on transport failures with capped, jittered
+//! well-formed frame), or closes that connection (missing or bad hello,
+//! corrupt length prefix, mid-frame EOF) — the accept loop and every other
+//! connection are untouched. [`TcpRankClient`] is the other half of the
+//! story: it reconnects on transport failures with capped, jittered
 //! exponential backoff and resends the (idempotent) request under the same
-//! id, within an optional overall deadline. A binary-preferring client
-//! that meets a legacy JSON-only server falls back to JSON once and stays
-//! there (sticky), so mixed fleets upgrade without a flag day.
+//! id, within an optional overall deadline.
 
 use crate::evloop::{self, Inbound, Mailbox};
 use crate::poller::{wake_pair, Backend};
 use crate::proto::{
-    self, decode_hello, encode_admin_request, encode_feedback_request, encode_hello, read_frame,
-    write_frame, AdminCommand, Protocol, BINARY_VERSION, HELLO_LEN,
+    self, decode_hello, encode_hello, read_frame, AdminCommand, FrameError, BINARY_VERSION,
+    HELLO_LEN,
 };
 use crate::server::{RankRequest, RankResponse, ServeError, ServeHandle};
 use ls_fault::{Backoff, Injector, NoFaults};
@@ -174,12 +172,6 @@ impl TcpServer {
     }
 }
 
-/// TCP_NODELAY is on by default (`LS_NODELAY=0` disables it, existing only
-/// so the effect stays measurable — see EXPERIMENTS.md).
-fn nodelay() -> bool {
-    std::env::var("LS_NODELAY").map_or(true, |v| v != "0")
-}
-
 fn accept_loop(listener: TcpListener, mailboxes: &[Arc<Mailbox>], stop: &AtomicBool) {
     let mut rr = 0usize;
     for conn in listener.incoming() {
@@ -190,11 +182,9 @@ fn accept_loop(listener: TcpListener, mailboxes: &[Arc<Mailbox>], stop: &AtomicB
         ls_obs::counter("serve.tcp.connections").incr();
         // NODELAY before the socket ever carries a frame: request/response
         // frames are far smaller than an MTU, and Nagle would otherwise
-        // serialize them behind delayed ACKs (p99 effect measured in
-        // EXPERIMENTS.md).
-        if nodelay() {
-            let _ = stream.set_nodelay(true);
-        }
+        // serialize them behind delayed ACKs on a real network (on
+        // loopback the effect is not measurable; see EXPERIMENTS.md).
+        let _ = stream.set_nodelay(true);
         mailboxes[rr % mailboxes.len()].push(Inbound::Conn(stream));
         rr = rr.wrapping_add(1);
     }
@@ -233,7 +223,15 @@ impl RetryPolicy {
     }
 }
 
-/// A blocking client for the framed protocols, with transparent reconnect.
+/// A reply decoder from [`crate::proto`]: payload → (echoed id, answer).
+type DecodeReply<T> = fn(&[u8]) -> Result<(u64, T), FrameError>;
+
+/// A blocking client for the framed protocol, with transparent reconnect.
+///
+/// Every connection opens with the `LSBP` hello and requires the server's
+/// ack at [`BINARY_VERSION`]. A missing or bad ack is a transport failure
+/// like any other: it carries the [`FrameError`] text and goes through the
+/// retry policy.
 ///
 /// Ranking requests are idempotent (same input, same bit-identical answer),
 /// so a transport failure — connection refused, torn frame, server restart
@@ -241,53 +239,25 @@ impl RetryPolicy {
 /// same id, per the configured [`RetryPolicy`]. Typed server answers
 /// (including server-side errors like `Overloaded`) are final and never
 /// retried here: backpressure decisions belong to the caller.
-///
-/// The client speaks JSON by default. [`TcpRankClient::connect_binary`]
-/// (or [`connect_opts`](TcpRankClient::connect_opts) with
-/// [`Protocol::Binary`]) opens with the `LSBP` hello; if the server does
-/// not ack — a legacy JSON-only peer closes the connection on the
-/// magic's oversized pseudo-length — the client reconnects plain and
-/// *stays* on JSON for its lifetime, so every later reconnect skips the
-/// doomed hello.
 pub struct TcpRankClient {
     addr: SocketAddr,
     policy: RetryPolicy,
-    prefer: Protocol,
-    /// Protocol of the *current* connection (`prefer` modulo fallback).
-    active: Protocol,
-    /// Set after a failed binary hello: never negotiate again.
-    json_fallback: bool,
     conn: Option<(BufReader<TcpStream>, TcpStream)>,
     next_id: u64,
 }
 
 impl TcpRankClient {
-    /// Connect to a [`TcpServer`] with no retries (fail-fast), JSON.
+    /// Connect to a [`TcpServer`] with no retries (fail-fast).
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<TcpRankClient> {
-        TcpRankClient::connect_opts(addr, RetryPolicy::none(), Protocol::Json)
+        TcpRankClient::connect_with(addr, RetryPolicy::none())
     }
 
-    /// Connect with an explicit retry policy, JSON.
+    /// Connect with an explicit retry policy. The initial connection and
+    /// hello are attempted eagerly so misconfiguration fails at
+    /// construction.
     pub fn connect_with(
         addr: impl ToSocketAddrs,
         policy: RetryPolicy,
-    ) -> io::Result<TcpRankClient> {
-        TcpRankClient::connect_opts(addr, policy, Protocol::Json)
-    }
-
-    /// Connect preferring the binary protocol (falls back to JSON against
-    /// a legacy server), no retries.
-    pub fn connect_binary(addr: impl ToSocketAddrs) -> io::Result<TcpRankClient> {
-        TcpRankClient::connect_opts(addr, RetryPolicy::none(), Protocol::Binary)
-    }
-
-    /// Connect with an explicit retry policy and protocol preference. The
-    /// initial connection is attempted eagerly so misconfiguration fails at
-    /// construction.
-    pub fn connect_opts(
-        addr: impl ToSocketAddrs,
-        policy: RetryPolicy,
-        prefer: Protocol,
     ) -> io::Result<TcpRankClient> {
         let addr = addr
             .to_socket_addrs()?
@@ -296,9 +266,6 @@ impl TcpRankClient {
         let mut client = TcpRankClient {
             addr,
             policy,
-            prefer,
-            active: Protocol::Json,
-            json_fallback: false,
             conn: None,
             next_id: 1,
         };
@@ -306,87 +273,53 @@ impl TcpRankClient {
         Ok(client)
     }
 
-    /// The protocol the current (or next) connection speaks — after a
-    /// sticky fallback this reports [`Protocol::Json`] even for a
-    /// binary-preferring client.
-    pub fn protocol(&self) -> Protocol {
-        if self.conn.is_some() {
-            self.active
-        } else if self.json_fallback {
-            Protocol::Json
-        } else {
-            self.prefer
-        }
-    }
-
     fn ensure_conn(&mut self) -> io::Result<()> {
         if self.conn.is_some() {
             return Ok(());
         }
         let mut stream = TcpStream::connect(self.addr)?;
-        if nodelay() {
-            stream.set_nodelay(true)?;
-        }
-        self.active = Protocol::Json;
-        if self.prefer == Protocol::Binary && !self.json_fallback {
-            match negotiate(&mut stream) {
-                Ok(()) => self.active = Protocol::Binary,
-                Err(_) => {
-                    // Legacy server: it saw our magic as an oversized frame
-                    // and closed. Reconnect plain and never negotiate with
-                    // this address again.
-                    ls_obs::counter("serve.client.binary_fallback").incr();
-                    self.json_fallback = true;
-                    stream = TcpStream::connect(self.addr)?;
-                    if nodelay() {
-                        stream.set_nodelay(true)?;
-                    }
-                }
-            }
-        }
+        stream.set_nodelay(true)?;
+        greet(&mut stream)?;
         let reader = BufReader::new(stream.try_clone()?);
         self.conn = Some((reader, stream));
         ls_obs::counter("serve.client.connects").incr();
         Ok(())
     }
 
-    /// One wire round trip. Any `Err` means the connection state is suspect
-    /// and must be torn down before a retry.
-    fn attempt(
-        &mut self,
-        id: u64,
-        req: &RankRequest,
-        trace: Option<&ls_obs::TraceContext>,
-    ) -> io::Result<Result<RankResponse, ServeError>> {
+    /// One wire round trip: send `frame` (an encoded request carrying
+    /// `id`), read one reply, decode it and check it answers `id`. Any
+    /// `Err` means the connection state is suspect; the caller drops it.
+    fn round_trip<T>(&mut self, id: u64, frame: &[u8], decode: DecodeReply<T>) -> io::Result<T> {
         self.ensure_conn()?;
-        let active = self.active;
         let (reader, writer) = self.conn.as_mut().expect("connection just established");
-        let payload = match active {
-            Protocol::Json => {
-                write_frame(writer, &proto::encode_request(id, req, trace))?;
-                read_frame(reader)?
-            }
-            Protocol::Binary => {
-                // Binary encoders emit prefix+payload in one buffer — a
-                // single write_all, no vectored assembly needed.
-                writer.write_all(&proto::encode_binary_request(id, req, trace))?;
-                read_frame(reader)?
-            }
-        }
-        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed connection"))?;
-        let (resp_id, result) = match active {
-            Protocol::Json => proto::decode_response(&payload)
-                .map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m))?,
-            Protocol::Binary => proto::decode_binary_response(&payload)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?,
-        };
+        // Encoders emit prefix+payload in one buffer: a single write_all.
+        writer.write_all(frame)?;
+        let payload = read_frame(reader)?.ok_or_else(|| {
+            io::Error::new(io::ErrorKind::UnexpectedEof, "server closed connection")
+        })?;
+        let (resp_id, value) =
+            decode(&payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         if resp_id != id {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("response id {resp_id} does not match request id {id}"),
             ));
         }
-        Ok(result)
+        Ok(value)
+    }
+
+    /// A round trip that is never retried: a transport failure drops the
+    /// connection and surfaces as [`ServeError::Transport`].
+    fn round_trip_once<T>(
+        &mut self,
+        id: u64,
+        frame: &[u8],
+        decode: DecodeReply<T>,
+    ) -> Result<T, ServeError> {
+        self.round_trip(id, frame, decode).map_err(|e| {
+            self.conn = None;
+            ServeError::Transport(e.to_string())
+        })
     }
 
     /// Send one request and block for its response, reconnecting and
@@ -404,6 +337,8 @@ impl TcpRankClient {
         let _span = trace
             .is_some()
             .then(|| ls_obs::span("serve.client.request"));
+        // Resends carry the same bytes under the same id.
+        let frame = proto::encode_binary_request(id, req, trace.as_ref());
         let started = Instant::now();
         let attempts = self.policy.attempts.max(1);
         let mut last_err: Option<io::Error> = None;
@@ -420,7 +355,7 @@ impl TcpRankClient {
                 std::thread::sleep(delay);
                 ls_obs::counter("serve.client.retries").incr();
             }
-            match self.attempt(id, req, trace.as_ref()) {
+            match self.round_trip(id, &frame, proto::decode_binary_response) {
                 Ok(result) => return result,
                 Err(e) => {
                     // Connection state unknown: drop it so the next attempt
@@ -444,43 +379,8 @@ impl TcpRankClient {
     pub fn feedback(&mut self, rec: &ls_core::FeedbackRecord) -> Result<u64, ServeError> {
         let id = self.next_id;
         self.next_id += 1;
-        let run = |client: &mut Self| -> io::Result<(u64, Result<u64, ServeError>)> {
-            client.ensure_conn()?;
-            let active = client.active;
-            let (reader, writer) = client.conn.as_mut().expect("connection just established");
-            let payload = match active {
-                Protocol::Json => {
-                    write_frame(writer, &encode_feedback_request(id, rec))?;
-                    read_frame(reader)?
-                }
-                Protocol::Binary => {
-                    writer.write_all(&proto::encode_binary_feedback_request(id, rec))?;
-                    read_frame(reader)?
-                }
-            }
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::UnexpectedEof, "server closed connection")
-            })?;
-            match active {
-                Protocol::Json => proto::decode_feedback_response(&payload)
-                    .map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m)),
-                Protocol::Binary => proto::decode_binary_feedback_response(&payload)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
-            }
-        };
-        match run(self) {
-            Ok((resp_id, result)) if resp_id == id => result,
-            Ok((resp_id, _)) => {
-                self.conn = None;
-                Err(ServeError::Transport(format!(
-                    "response id {resp_id} does not match request id {id}"
-                )))
-            }
-            Err(e) => {
-                self.conn = None;
-                Err(ServeError::Transport(e.to_string()))
-            }
-        }
+        let frame = proto::encode_binary_feedback_request(id, rec);
+        self.round_trip_once(id, &frame, proto::decode_binary_feedback_response)?
     }
 
     /// Run one admin introspection query (metrics, state, traces, recorder)
@@ -490,59 +390,23 @@ impl TcpRankClient {
     pub fn admin(&mut self, cmd: AdminCommand) -> Result<ls_obs::Json, ServeError> {
         let id = self.next_id;
         self.next_id += 1;
-        let run = |client: &mut Self| -> io::Result<(u64, ls_obs::Json)> {
-            client.ensure_conn()?;
-            let active = client.active;
-            let (reader, writer) = client.conn.as_mut().expect("connection just established");
-            let payload = match active {
-                Protocol::Json => {
-                    write_frame(writer, &encode_admin_request(id, cmd))?;
-                    read_frame(reader)?
-                }
-                Protocol::Binary => {
-                    writer.write_all(&proto::encode_binary_admin_request(id, cmd))?;
-                    read_frame(reader)?
-                }
-            }
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::UnexpectedEof, "server closed connection")
-            })?;
-            match active {
-                Protocol::Json => proto::decode_admin_response(&payload)
-                    .map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m)),
-                Protocol::Binary => proto::decode_binary_admin_response(&payload)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
-            }
-        };
-        match run(self) {
-            Ok((resp_id, data)) if resp_id == id => Ok(data),
-            Ok((resp_id, _)) => {
-                self.conn = None;
-                Err(ServeError::Transport(format!(
-                    "response id {resp_id} does not match request id {id}"
-                )))
-            }
-            Err(e) => {
-                self.conn = None;
-                Err(ServeError::Transport(e.to_string()))
-            }
-        }
+        let frame = proto::encode_binary_admin_request(id, cmd);
+        self.round_trip_once(id, &frame, proto::decode_binary_admin_response)
     }
 }
 
-/// Client side of the version handshake: send hello, require a well-formed
-/// ack. Any failure (EOF from a legacy server, garbage, version 0) makes
-/// the caller fall back to JSON on a fresh socket.
-fn negotiate(stream: &mut TcpStream) -> io::Result<()> {
+/// Client side of the hello: send ours, require a well-formed ack at
+/// [`BINARY_VERSION`]. A bad ack fails with the typed [`FrameError`]
+/// inside the `io::Error` (recover it with [`proto::frame_error`]).
+fn greet(stream: &mut TcpStream) -> io::Result<()> {
     stream.write_all(&encode_hello(BINARY_VERSION))?;
     let mut ack = [0u8; HELLO_LEN];
     stream.read_exact(&mut ack)?;
-    let version = decode_hello(&ack)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    let version = decode_hello(&ack).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     if version != BINARY_VERSION {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("server chose unsupported version {version}"),
+            FrameError::UnsupportedVersion(version),
         ));
     }
     Ok(())

@@ -16,13 +16,13 @@ use ls_dbshap::{
 use ls_fault::{BreakerState, ChaosProxy, FaultKind, FaultPlan, FaultRule, FaultSpec};
 use ls_nn::EncoderConfig;
 use ls_relational::{ColType, Database, FactId, OutputTuple, TableSchema, Value};
-use ls_serve::proto::{encode_request, read_frame, write_frame};
+use ls_serve::proto;
 use ls_serve::{
     ModelBundle, RankRequest, RankResponse, RetryPolicy, ServeConfig, ServeError, Server,
     TcpRankClient, TcpServer, Tier,
 };
-use std::io::Write as _;
-use std::net::TcpStream;
+use std::io::{Read as _, Write as _};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -505,36 +505,20 @@ fn uniform_fallback_preserves_availability() {
 }
 
 // ---------------------------------------------------------------------------
-// Wire chaos: torn frames, garbage, oversized lengths, proxy faults
+// Wire chaos: torn frames, oversized lengths, proxy faults
 // ---------------------------------------------------------------------------
 
-/// Garbage JSON inside a well-formed frame gets a typed reply and the
-/// connection keeps serving — the framing layer is still in sync.
-#[test]
-fn garbage_json_keeps_the_connection_alive() {
-    let bundle = fixture_bundle();
-    let reqs = requests(&bundle);
-    let serial = serial_answer(&bundle, &reqs[0]);
-    let server = Server::start(bundle.clone(), ServeConfig::default());
-    let tcp = TcpServer::start(server.handle(), "127.0.0.1:0").expect("bind");
-    let stream = TcpStream::connect(tcp.local_addr()).expect("connect");
-    let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = std::io::BufWriter::new(stream);
-
-    write_frame(&mut writer, b"this is not json at all").expect("write garbage");
-    let payload = read_frame(&mut reader).expect("reply").expect("not EOF");
-    let (id, result) = ls_serve::proto::decode_response(&payload).expect("typed reply");
-    assert_eq!(id, 0, "unparseable request answers under id 0");
-    assert!(matches!(result, Err(ServeError::BadRequest(_))));
-
-    // Same connection, real request: still fully functional.
-    write_frame(&mut writer, &encode_request(42, &reqs[0], None)).expect("write real");
-    let payload = read_frame(&mut reader).expect("reply").expect("not EOF");
-    let (id, result) = ls_serve::proto::decode_response(&payload).expect("decode");
-    assert_eq!(id, 42);
-    assert_bit_identical(&result.expect("served"), &serial);
-    tcp.stop();
-    server.shutdown();
+/// Open a raw connection and complete the hello, leaving it in the framed
+/// state where torn-frame handling lives.
+fn greeted_stream(addr: SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(&proto::encode_hello(proto::BINARY_VERSION))
+        .expect("hello");
+    let mut ack = [0u8; proto::HELLO_LEN];
+    stream.read_exact(&mut ack).expect("hello ack");
+    assert_eq!(proto::decode_hello(&ack), Ok(proto::BINARY_VERSION));
+    stream
 }
 
 /// A client that dies mid-frame (header promises more bytes than ever
@@ -549,7 +533,7 @@ fn mid_frame_disconnect_only_kills_that_connection() {
     let tcp = TcpServer::start(server.handle(), "127.0.0.1:0").expect("bind");
 
     {
-        let mut stream = TcpStream::connect(tcp.local_addr()).expect("connect");
+        let mut stream = greeted_stream(tcp.local_addr());
         stream
             .write_all(&100u32.to_le_bytes())
             .expect("header promising 100 bytes");
@@ -573,14 +557,14 @@ fn oversized_length_prefix_tears_connection_not_listener() {
     let server = Server::start(bundle.clone(), ServeConfig::default());
     let tcp = TcpServer::start(server.handle(), "127.0.0.1:0").expect("bind");
 
-    let mut stream = TcpStream::connect(tcp.local_addr()).expect("connect");
+    let mut stream = greeted_stream(tcp.local_addr());
     stream
         .write_all(&(ls_serve::MAX_FRAME + 1).to_le_bytes())
         .expect("oversized header");
     stream.flush().expect("flush");
     // The server must close this connection without reading a body.
     let mut buf = [0u8; 8];
-    let n = std::io::Read::read(&mut stream, &mut buf).unwrap_or(0);
+    let n = stream.read(&mut buf).unwrap_or(0);
     assert_eq!(n, 0, "connection must be closed, not answered");
 
     let mut client = TcpRankClient::connect(tcp.local_addr()).expect("fresh connection");

@@ -297,8 +297,10 @@ fn online_engine_trains_publishes_swaps_and_recovers() {
     );
     tcp.stop();
 
-    let generation_before = online.published_generation();
+    // Read only after shutdown has joined the trainer: until then it may
+    // still publish, and the restart below must see the final generation.
     server.shutdown();
+    let generation_before = online.published_generation();
 
     // Restart against the same directories: the published snapshot is
     // swapped back in at enable time and the trainer resumes its watermark.

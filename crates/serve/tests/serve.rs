@@ -279,7 +279,7 @@ fn shutdown_drains_admitted_work() {
     assert_eq!(handle.rank(reqs[0].clone()), Err(ServeError::ShuttingDown));
 }
 
-/// Full TCP round-trip: the framed JSON protocol preserves bit-identity.
+/// Full TCP round-trip: the framed binary protocol preserves bit-identity.
 #[test]
 fn tcp_round_trip_is_bit_identical() {
     let bundle = fixture_bundle();

@@ -1,33 +1,34 @@
-//! Wire-protocol tests: binary decoder robustness, version negotiation,
-//! and cross-protocol equivalence.
+//! Wire-protocol tests: decoder robustness, the hello version check, and
+//! equivalence with the serial path.
 //!
 //! Three contracts are pinned here:
 //!
-//! 1. **The binary decoder never panics.** Arbitrary byte soups and every
+//! 1. **The decoder never panics.** Arbitrary byte soups and every
 //!    truncation of a valid frame must come back as a typed [`FrameError`],
 //!    not a panic or a bogus decode — the server feeds it bytes straight
 //!    off the network.
-//! 2. **Version negotiation degrades, never breaks.** A binary-preferring
-//!    client against a binary server speaks binary; against a legacy
-//!    JSON-only server it falls back to JSON — sticky, transparent, and
-//!    with correct answers either way.
-//! 3. **Protocol choice is invisible in the answers.** The same request
-//!    served over JSON and over binary yields bit-identical scores and the
-//!    same ranking as the serial oracle, on the epoll and poll backends,
-//!    with one shard or several, pipelined or not.
+//! 2. **The hello is a version check, never a negotiation.** A connection
+//!    that does not open with `LSBP` is closed unanswered while the
+//!    listener keeps serving, and a client facing a bad ack fails with a
+//!    typed `Transport` error instead of switching codecs.
+//! 3. **The wire is invisible in the answers.** Requests served over TCP
+//!    yield scores bit-identical to the serial oracle and the same ranking,
+//!    on the epoll and poll backends, with one shard or several, pipelined
+//!    or not.
 
 use ls_core::{save_model, LearnShapleyModel, Tokenizer};
 use ls_fault::NoFaults;
 use ls_nn::EncoderConfig;
 use ls_relational::{ColType, Database, FactId, OutputTuple, TableSchema, Value};
 use ls_serve::{
-    proto, Backend, FrameError, ModelBundle, Protocol, RankRequest, RankResponse, RetryPolicy,
-    ServeConfig, Server, TcpOptions, TcpRankClient, TcpServer, Tier,
+    proto, Backend, FrameError, ModelBundle, RankRequest, RankResponse, ServeConfig, ServeError,
+    Server, TcpOptions, TcpRankClient, TcpServer, Tier,
 };
 use proptest::prelude::*;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 const MAX_LEN: usize = 48;
 
@@ -221,123 +222,133 @@ fn hello_rejects_wrong_magic_and_version_mismatch_is_visible() {
         proto::decode_hello(&bad),
         Err(FrameError::BadMagic(_))
     ));
-    // The magic deliberately reads as an oversized length prefix to a
-    // legacy JSON server, so it tears the connection instead of parsing
-    // garbage. Pin that property: it is what makes fallback detectable.
+    // Read as a length prefix the magic exceeds MAX_FRAME, so no peer that
+    // opens with a bare frame can ever pass the server's hello check.
     let as_len = u32::from_le_bytes(proto::MAGIC);
     assert!(as_len > proto::MAX_FRAME, "magic must exceed MAX_FRAME");
 }
 
 // ---------------------------------------------------------------------------
-// 2. Version negotiation matrix
+// 2. The hello version check
 // ---------------------------------------------------------------------------
 
-/// A thread-per-connection JSON-only server — the previous generation of
-/// this crate's front-end, reconstructed to test fallback against. It knows
-/// nothing of the hello: the magic arrives as an oversized length prefix,
-/// `read_frame` rejects it, and the connection drops.
-fn spawn_legacy_json_server(bundle: Arc<ModelBundle>) -> std::net::SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind legacy");
+/// A fake server that answers each connection's hello with the next ack
+/// from `acks` (then hangs up). Joining it yields every connection's first
+/// `HELLO_LEN` bytes.
+fn spawn_scripted_acker(
+    acks: Vec<[u8; proto::HELLO_LEN]>,
+) -> (SocketAddr, JoinHandle<Vec<[u8; proto::HELLO_LEN]>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake server");
     let addr = listener.local_addr().expect("addr");
-    let server = Server::start(bundle, ServeConfig::default());
-    let handle = server.handle();
-    std::thread::spawn(move || {
-        let _server = server; // keep the pool alive for the test's lifetime
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { continue };
-            let handle = handle.clone();
-            std::thread::spawn(move || {
-                let mut reader = std::io::BufReader::new(match stream.try_clone() {
-                    Ok(s) => s,
-                    Err(_) => return,
-                });
-                // A torn prefix (the binary magic) errors out of read_frame
-                // and ends the connection — exactly what a legacy server did.
-                while let Ok(Some(payload)) = proto::read_frame(&mut reader) {
-                    let reply = match proto::decode_frame(&payload) {
-                        Ok(proto::Frame::Rank(id, req, _)) => {
-                            proto::encode_response(id, &handle.rank(req))
-                        }
-                        Ok(_) | Err(_) => return,
-                    };
-                    if proto::write_frame(&mut stream, &reply).is_err() {
-                        return;
-                    }
-                }
-            });
+    let server = std::thread::spawn(move || {
+        let mut openers = Vec::new();
+        for (ack, stream) in acks.into_iter().zip(listener.incoming()) {
+            let mut stream = stream.expect("accept");
+            let mut opener = [0u8; proto::HELLO_LEN];
+            stream.read_exact(&mut opener).expect("read opener");
+            openers.push(opener);
+            let _ = stream.write_all(&ack);
+            // Dropping the stream hangs up after the ack.
         }
+        openers
     });
-    addr
+    (addr, server)
 }
 
+/// Both halves of the hello contract. Server side: an opener that is not
+/// `LSBP` — here an old-style JSON frame — is closed without an answer,
+/// and the listener keeps serving. Client side: a wrong-magic or version-0
+/// ack is a typed `Transport` error carrying the [`FrameError`] text, and
+/// every reconnect opens with the hello again — there is nothing to fall
+/// back to.
 #[test]
-fn negotiation_matrix_binary_json_and_legacy_fallback() {
+fn hello_is_required_and_a_bad_ack_is_a_typed_transport_error() {
     let bundle = fixture_bundle();
     let reqs = requests(&bundle);
-    let serial: Vec<RankResponse> = reqs.iter().map(|r| serial_answer(&bundle, r)).collect();
-
-    // Modern server: speaks both.
-    let server = Server::start(bundle.clone(), ServeConfig::default());
+    let serial = serial_answer(&bundle, &reqs[0]);
+    let server = Server::start(bundle, ServeConfig::default());
     let tcp = TcpServer::start(server.handle(), "127.0.0.1:0").expect("bind");
-    let addr = tcp.local_addr();
 
-    // binary client ↔ binary server: negotiated up.
-    let mut bin = TcpRankClient::connect_binary(addr).expect("binary connect");
-    assert_eq!(bin.protocol(), Protocol::Binary);
-    assert_bit_identical(&bin.rank(&reqs[0]).expect("binary rank"), &serial[0]);
-
-    // json client ↔ binary server: plain JSON, no hello on the wire.
-    let mut json = TcpRankClient::connect(addr).expect("json connect");
-    assert_eq!(json.protocol(), Protocol::Json);
-    assert_bit_identical(&json.rank(&reqs[1]).expect("json rank"), &serial[1]);
-
+    let mut stream = TcpStream::connect(tcp.local_addr()).expect("connect");
+    let json = br#"{"id":1,"query":"SELECT title FROM movies","tuple":[],"lineage":[0]}"#;
+    stream
+        .write_all(&(json.len() as u32).to_le_bytes())
+        .expect("length prefix");
+    stream.write_all(json).expect("json body");
+    // Closed means EOF or a reset; an answer or a timeout fails.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut buf = [0u8; 16];
+    match stream.read(&mut buf) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("a non-LSBP opener must be closed, not answered: {other:?}"),
+    }
+    let mut client = TcpRankClient::connect(tcp.local_addr()).expect("fresh connection");
+    assert_bit_identical(
+        &client.rank(&reqs[0]).expect("listener still serving"),
+        &serial,
+    );
     tcp.stop();
     server.shutdown();
 
-    // binary-preferring client ↔ legacy JSON-only server: sticky fallback.
-    let legacy = spawn_legacy_json_server(bundle);
-    let mut fb = TcpRankClient::connect_opts(legacy, RetryPolicy::default(), Protocol::Binary)
-        .expect("fallback connect");
+    // Eager connect against a wrong-magic ack: the io::Error carries the
+    // typed FrameError.
+    let hello = proto::encode_hello(proto::BINARY_VERSION);
+    let (addr, fake) = spawn_scripted_acker(vec![*b"LSBQ\x01\x00"]);
+    let err = TcpRankClient::connect(addr)
+        .err()
+        .expect("bad ack must fail connect");
     assert_eq!(
-        fb.protocol(),
-        Protocol::Json,
-        "client must fall back to JSON against a legacy server"
+        proto::frame_error(&err),
+        Some(&FrameError::BadMagic(*b"LSBQ"))
     );
-    for (req, oracle) in reqs.iter().zip(&serial).take(3) {
-        assert_bit_identical(&fb.rank(req).expect("fallback rank"), oracle);
+    assert_eq!(fake.join().expect("fake server"), [hello]);
+
+    // A good first ack, then the server hangs up; reconnects meet a
+    // wrong-magic ack and then a version-0 ack. Each call fails typed.
+    let (addr, fake) = spawn_scripted_acker(vec![hello, *b"LSBQ\x01\x00", proto::encode_hello(0)]);
+    let mut client = TcpRankClient::connect(addr).expect("good ack connects");
+    match client.rank(&reqs[0]) {
+        Err(ServeError::Transport(_)) => {}
+        other => panic!("expected Transport after hang-up, got {other:?}"),
     }
-    // Still sticky after the answers: no re-negotiation attempts.
-    assert_eq!(fb.protocol(), Protocol::Json);
+    let bad_magic = FrameError::BadMagic(*b"LSBQ").to_string();
+    match client.rank(&reqs[0]) {
+        Err(ServeError::Transport(msg)) => assert!(msg.contains(&bad_magic), "{msg}"),
+        other => panic!("expected Transport on a wrong-magic ack, got {other:?}"),
+    }
+    let version0 = FrameError::UnsupportedVersion(0).to_string();
+    match client.rank(&reqs[0]) {
+        Err(ServeError::Transport(msg)) => assert!(msg.contains(&version0), "{msg}"),
+        other => panic!("expected Transport on a version-0 ack, got {other:?}"),
+    }
+    let openers = fake.join().expect("fake server");
+    assert_eq!(openers.len(), 3, "one connection per ack");
+    assert!(
+        openers.iter().all(|o| *o == hello),
+        "every connection must open with the hello: {openers:?}"
+    );
 }
 
 // ---------------------------------------------------------------------------
-// 3. Cross-protocol equivalence, backends, shards, pipelining
+// 3. Equivalence with the serial path: backends, shards, pipelining
 // ---------------------------------------------------------------------------
 
-/// The differential contract: the same requests served over JSON and over
-/// binary are bit-identical to each other and to the serial oracle.
+/// The differential contract: every request served over TCP is
+/// bit-identical to the serial oracle.
 #[test]
-fn binary_and_json_answers_are_bit_identical() {
+fn tcp_answers_are_bit_identical_to_serial() {
     let bundle = fixture_bundle();
     let reqs = requests(&bundle);
     let serial: Vec<RankResponse> = reqs.iter().map(|r| serial_answer(&bundle, r)).collect();
 
     let server = Server::start(bundle, ServeConfig::default());
     let tcp = TcpServer::start(server.handle(), "127.0.0.1:0").expect("bind");
-    let mut json = TcpRankClient::connect(tcp.local_addr()).expect("json");
-    let mut bin = TcpRankClient::connect_binary(tcp.local_addr()).expect("binary");
-    assert_eq!(bin.protocol(), Protocol::Binary);
-
+    let mut client = TcpRankClient::connect(tcp.local_addr()).expect("connect");
     for (req, oracle) in reqs.iter().zip(&serial) {
-        let a = json.rank(req).expect("json rank");
-        let b = bin.rank(req).expect("binary rank");
-        assert_bit_identical(&a, oracle);
-        assert_bit_identical(&b, oracle);
-        assert_eq!(
-            a.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-            b.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-            "protocols disagree on score bits"
-        );
+        assert_bit_identical(&client.rank(req).expect("rank"), oracle);
     }
     tcp.stop();
     server.shutdown();
@@ -367,13 +378,7 @@ fn poll_backend_two_shards_round_trip() {
 
     // Several clients so both shards see connections (round-robin accept).
     let mut clients: Vec<TcpRankClient> = (0..4)
-        .map(|i| {
-            if i % 2 == 0 {
-                TcpRankClient::connect_binary(addr).expect("client")
-            } else {
-                TcpRankClient::connect(addr).expect("client")
-            }
-        })
+        .map(|_| TcpRankClient::connect(addr).expect("client"))
         .collect();
     for (i, (req, oracle)) in reqs.iter().zip(&serial).enumerate() {
         let client = &mut clients[i % 4];
